@@ -1143,6 +1143,13 @@ impl Client {
                     continue;
                 }
                 Response::Fail {
+                    status: Status::Busy,
+                    ..
+                } => {
+                    self.stats.busy_retries += 1;
+                    continue;
+                }
+                Response::Fail {
                     status: Status::NotOwner,
                     ..
                 } => {

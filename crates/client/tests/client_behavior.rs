@@ -146,22 +146,24 @@ fn moved_response_updates_mapping_and_retries() {
 
 #[test]
 fn busy_is_retried_until_success() {
-    let (mut client, transport, _map) = client_with(vec![
-        Response::Fail {
-            status: Status::Busy,
-            message: "bucket migrating".into(),
-        },
-        Response::Fail {
-            status: Status::Busy,
-            message: "bucket migrating".into(),
-        },
-        Response::Stored,
-    ]);
-    client
-        .set_opts(b"k", b"v", SetOptions::new())
-        .expect("eventually stored");
-    assert_eq!(client.stats().busy_retries, 2);
-    assert_eq!(transport.calls().len(), 3);
+    let busy = || Response::Fail {
+        status: Status::Busy,
+        message: "bucket migrating".into(),
+    };
+    // Each op with the response that ends its retries.
+    type Op = fn(&mut Client) -> bool;
+    let ops: [(&str, Response, Op); 2] = [
+        ("set", Response::Stored, |c| {
+            c.set_opts(b"k", b"v", SetOptions::new()) == Ok(StoreOutcome::Stored)
+        }),
+        ("delete", Response::Deleted, |c| c.delete(b"k") == Ok(true)),
+    ];
+    for (name, done, op) in ops {
+        let (mut client, transport, _map) = client_with(vec![busy(), busy(), done]);
+        assert!(op(&mut client), "{name} eventually succeeds");
+        assert_eq!(client.stats().busy_retries, 2, "{name}");
+        assert_eq!(transport.calls().len(), 3, "{name}");
+    }
 }
 
 #[test]

@@ -10,6 +10,7 @@ use mbal_core::clock::{Clock, ManualClock};
 use mbal_core::types::{ServerId, WorkerAddr};
 use mbal_ring::{ConsistentRing, MappingTable};
 use mbal_server::{InProcRegistry, Server, ServerConfig};
+use mbal_telemetry::Counter;
 use std::sync::Arc;
 
 struct Cluster {
@@ -170,6 +171,34 @@ fn hot_key_gets_replicated_and_replica_reads_flow() {
             "stale replica read with synchronous replication"
         );
     }
+    // Let every replica lease lapse without a balance epoch to renew
+    // it: the next replica reads are refused, and the client falls back
+    // to the home worker.
+    cluster.clock.advance(10_000_000);
+    for _ in 0..8 {
+        assert_eq!(c.get(b"celebrity").expect("get").expect("hit"), b"updated");
+    }
+    let server = |counter| {
+        cluster
+            .servers
+            .iter()
+            .map(|s| s.metrics_snapshot().get(counter))
+            .sum::<u64>()
+    };
+    assert!(
+        server(Counter::StaleReadsRejected) >= 1,
+        "no replica read was refused"
+    );
+    // Exact op ledger: every client GET not served by the front tier is
+    // counted once on the server, as a home GET or a served replica
+    // read. Neither the balancer's own reads nor refused replica reads
+    // may add to it.
+    let st = c.stats();
+    assert_eq!(
+        st.gets - st.front_hits,
+        server(Counter::Gets) + server(Counter::ReplicaReads),
+        "client/server GET ledger: {st:?}"
+    );
     cluster.shutdown();
 }
 

@@ -9,8 +9,7 @@
 //! ```text
 //! mbal-server [--workers N] [--port BASE] [--mem MB] [--cachelets N] [--epoch-ms MS]
 //!             [--engine slab|seg] [--metrics-port P] [--tenants SPEC] [--load-cap C]
-//!             [--io-backend event-loop|threaded] [--max-conns N] [--idle-timeout-ms MS]
-//!             [--membership on|off]
+//!             [--max-conns N] [--idle-timeout-ms MS] [--membership on|off]
 //! ```
 //!
 //! `--engine` selects the storage engine every worker runs: `slab`
@@ -41,14 +40,12 @@
 //! view exists. Single-node it is a one-member cluster; multi-server
 //! elasticity needs the shared-coordinator library deployment.
 //!
-//! `--io-backend` picks the connection-serving backend: `event-loop`
-//! (the default — one nonblocking epoll loop per worker multiplexing
-//! every connection) or `threaded` (one blocking thread per accepted
-//! connection). `--max-conns` caps open connections per worker under
-//! the event loop; `--idle-timeout-ms` reaps connections idle that
-//! long (0 disables reaping). Each flag defaults to its `MBAL_*`
-//! environment variable (`MBAL_IO_BACKEND`, `MBAL_MAX_CONNS_PER_WORKER`,
-//! `MBAL_IDLE_TIMEOUT_MS`) when absent.
+//! Each worker serves its port from one nonblocking epoll loop that
+//! multiplexes every connection; hosts without epoll get one blocking
+//! thread per accepted connection instead. `--max-conns` caps open
+//! connections per worker under the event loop (default 4096);
+//! `--idle-timeout-ms` reaps connections idle that long (default
+//! 60000, 0 disables reaping).
 
 use mbal_balancer::coordinator::Coordinator;
 use mbal_balancer::BalancerConfig;
@@ -57,9 +54,10 @@ use mbal_core::engine::EngineKind;
 use mbal_core::types::{ServerId, WorkerAddr};
 use mbal_ring::{ConsistentRing, MappingTable};
 use mbal_server::tcp::serve_tcp_with;
-use mbal_server::{InProcRegistry, IoBackend, Server, ServerConfig};
+use mbal_server::{InProcRegistry, IoConfig, Server, ServerConfig};
 use mbal_tenant::TenantDirectory;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
@@ -71,7 +69,7 @@ fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
 }
 
 fn main() {
-    let workers: u16 = arg("--workers", 4);
+    let workers: u16 = arg("--workers", 4).max(1);
     let port: u16 = arg("--port", 11311);
     let mem_mb: usize = arg("--mem", 512);
     let cachelets: usize = arg("--cachelets", 16);
@@ -97,17 +95,18 @@ fn main() {
         }),
     };
 
-    // I/O flags layer over the MBAL_* environment defaults (already
-    // folded into the builder's starting config).
-    let io_backend = match arg::<String>("--io-backend", String::new()).as_str() {
-        "" => None,
-        s => Some(IoBackend::parse(s).unwrap_or_else(|| {
-            eprintln!("mbal-server: unknown io backend {s:?} (expected event-loop|threaded)");
-            std::process::exit(2);
-        })),
+    let io_default = IoConfig::default();
+    let io = IoConfig {
+        max_conns_per_worker: match arg("--max-conns", 0) {
+            0 => io_default.max_conns_per_worker,
+            n => n,
+        },
+        idle_timeout: match arg::<i64>("--idle-timeout-ms", -1) {
+            ms if ms < 0 => io_default.idle_timeout,
+            0 => None,
+            ms => Some(Duration::from_millis(ms as u64)),
+        },
     };
-    let max_conns: usize = arg("--max-conns", 0);
-    let idle_timeout_ms: i64 = arg("--idle-timeout-ms", -1);
     let membership = match arg::<String>("--membership", "off".into()).as_str() {
         "on" => true,
         "off" => false,
@@ -130,31 +129,12 @@ fn main() {
     };
     let coordinator = Arc::new(Coordinator::new(mapping.clone(), balancer.clone()));
     let registry = InProcRegistry::new();
-    let mut builder = ServerConfig::builder(ServerId(0))
-        .workers(workers)
-        .cache_bytes(mem_mb << 20)
+    let config = ServerConfig::new(ServerId(0), workers, mem_mb << 20)
         .cachelets_per_worker(cachelets)
         .balancer(balancer)
         .engine(engine)
         .tenants(tenants.clone())
         .membership(membership);
-    if metrics_port != 0 {
-        builder = builder.metrics_port(Some(metrics_port));
-    }
-    if let Some(backend) = io_backend {
-        builder = builder.io_backend(backend);
-    }
-    if max_conns != 0 {
-        builder = builder.max_conns_per_worker(max_conns);
-    }
-    if idle_timeout_ms >= 0 {
-        builder = builder.idle_timeout(
-            (idle_timeout_ms > 0).then(|| std::time::Duration::from_millis(idle_timeout_ms as u64)),
-        );
-    }
-    let config = builder.build();
-    let io = config.io.clone();
-    let metrics_port = config.metrics_port.unwrap_or(0);
     let server = Server::spawn(
         config,
         &mapping,
@@ -163,7 +143,8 @@ fn main() {
         Arc::new(RealClock::new()),
     );
 
-    let bound = match serve_tcp_with(&server.worker_mailboxes(), "0.0.0.0", port, io.clone()) {
+    let max_conns = io.max_conns_per_worker;
+    let bound = match serve_tcp_with(&server.worker_mailboxes(), "0.0.0.0", port, io) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("mbal-server: failed to bind on port {port}: {e}");
@@ -183,12 +164,10 @@ fn main() {
     if membership {
         println!("  membership: on (cluster-status view published each epoch)");
     }
-    match io.backend {
-        IoBackend::EventLoop => println!(
-            "  io: event loop, up to {} connections/worker",
-            io.max_conns_per_worker
-        ),
-        IoBackend::Threaded => println!("  io: thread per connection"),
+    if cfg!(target_os = "linux") {
+        println!("  io: event loop, up to {max_conns} connections/worker");
+    } else {
+        println!("  io: thread per connection");
     }
     for (addr, sock) in &bound {
         println!("  worker {addr} listening on {sock}");

@@ -8,88 +8,25 @@ use mbal_core::types::ServerId;
 use mbal_tenant::TenantDirectory;
 use std::time::Duration;
 
-/// How accepted connections are served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// One nonblocking event loop per worker multiplexing every
-    /// connection on that worker's port (epoll; Linux). Thread count is
-    /// bounded by the worker count, not the connection count.
-    #[default]
-    EventLoop,
-    /// One blocking framing thread per accepted connection (the
-    /// pre-event-loop behaviour, and the fallback off Linux).
-    Threaded,
-}
-
-impl IoBackend {
-    /// Parses `"event-loop"` / `"threaded"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<IoBackend> {
-        match s.to_ascii_lowercase().as_str() {
-            "event-loop" | "eventloop" | "epoll" => Some(IoBackend::EventLoop),
-            "threaded" | "thread" => Some(IoBackend::Threaded),
-            _ => None,
-        }
-    }
-}
-
 /// Transport I/O knobs, applied per worker listener.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoConfig {
-    /// Connection-serving strategy.
-    pub backend: IoBackend,
     /// Open-connection cap per worker; connections accepted past the
     /// cap are closed immediately (accept-and-close sheds load without
     /// letting the backlog grow unbounded).
     pub max_conns_per_worker: usize,
     /// Reap connections idle longer than this (no reads, no pending
-    /// work). `None` disables reaping. Event-loop backend only.
+    /// work). `None` disables reaping. Event loop only.
     pub idle_timeout: Option<Duration>,
-    /// Read timeout on client-side cast-pump connections; a timed-out
-    /// shadow counts a transport-timeout telemetry tick and drops the
-    /// pump connection.
-    pub cast_read_timeout: Duration,
 }
 
 impl Default for IoConfig {
     fn default() -> Self {
         Self {
-            backend: IoBackend::default(),
             max_conns_per_worker: 4096,
             idle_timeout: Some(Duration::from_secs(60)),
-            cast_read_timeout: Duration::from_secs(1),
         }
     }
-}
-
-impl IoConfig {
-    /// Defaults overlaid with environment overrides: `MBAL_IO_BACKEND`
-    /// (`event-loop`|`threaded`), `MBAL_MAX_CONNS_PER_WORKER`,
-    /// `MBAL_IDLE_TIMEOUT_MS` (`0` disables reaping), and
-    /// `MBAL_CAST_TIMEOUT_MS`.
-    pub fn from_env() -> Self {
-        let mut io = Self::default();
-        if let Some(b) = std::env::var("MBAL_IO_BACKEND")
-            .ok()
-            .as_deref()
-            .and_then(IoBackend::parse)
-        {
-            io.backend = b;
-        }
-        if let Some(n) = env_u64("MBAL_MAX_CONNS_PER_WORKER") {
-            io.max_conns_per_worker = (n as usize).max(1);
-        }
-        if let Some(ms) = env_u64("MBAL_IDLE_TIMEOUT_MS") {
-            io.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(ms) = env_u64("MBAL_CAST_TIMEOUT_MS") {
-            io.cast_read_timeout = Duration::from_millis(ms.max(1));
-        }
-        io
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Configuration of one MBal cache server.
@@ -132,14 +69,6 @@ pub struct ServerConfig {
     /// every cache unit to per-tenant inner engines with quota
     /// enforcement and epoch-driven memory arbitration.
     pub tenants: TenantDirectory,
-    /// Transport I/O knobs (serving backend, connection cap, idle
-    /// reaping, cast timeout). Defaults come from [`IoConfig::from_env`]
-    /// so deployments can flip the backend without touching call sites.
-    pub io: IoConfig,
-    /// Port for the Prometheus-style metrics endpoint; `None` leaves
-    /// the endpoint unserved. Defaults to the `MBAL_METRICS_PORT`
-    /// environment variable.
-    pub metrics_port: Option<u16>,
 }
 
 impl ServerConfig {
@@ -158,19 +87,6 @@ impl ServerConfig {
             membership: false,
             engine: EngineKind::from_env(),
             tenants: TenantDirectory::new(),
-            io: IoConfig::from_env(),
-            metrics_port: env_u64("MBAL_METRICS_PORT").map(|p| p as u16),
-        }
-    }
-
-    /// Starts a fluent builder with the same defaults (and environment
-    /// overrides) as [`ServerConfig::new`]: two workers, a 256 MiB
-    /// budget, and every knob overridable before [`build`].
-    ///
-    /// [`build`]: ServerConfigBuilder::build
-    pub fn builder(server: ServerId) -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            cfg: ServerConfig::new(server, 2, 256 << 20),
         }
     }
 
@@ -230,105 +146,6 @@ impl ServerConfig {
     }
 }
 
-/// Fluent constructor for [`ServerConfig`] unifying every server knob —
-/// sizing, engine, tenancy, balancing, telemetry, and transport I/O —
-/// behind one surface (see [`ServerConfig::builder`]).
-#[derive(Debug, Clone)]
-pub struct ServerConfigBuilder {
-    cfg: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Sets the worker-thread count.
-    pub fn workers(mut self, n: u16) -> Self {
-        self.cfg.workers = n.max(1);
-        self
-    }
-
-    /// Sets the total cache memory budget in bytes.
-    pub fn cache_bytes(mut self, bytes: usize) -> Self {
-        self.cfg.mem = MemConfig::with_capacity(bytes);
-        self
-    }
-
-    /// Sets cachelets per worker (clamped to at least one).
-    pub fn cachelets_per_worker(mut self, n: usize) -> Self {
-        self.cfg.cachelets_per_worker = n.max(1);
-        self
-    }
-
-    /// Sets the storage engine.
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.cfg.engine = kind;
-        self
-    }
-
-    /// Replaces the tenant directory.
-    pub fn tenants(mut self, dir: TenantDirectory) -> Self {
-        self.cfg.tenants = dir;
-        self
-    }
-
-    /// Replaces the balancer configuration.
-    pub fn balancer(mut self, b: BalancerConfig) -> Self {
-        self.cfg.balancer = b;
-        self
-    }
-
-    /// Sets the permissible per-worker load `T_j` in ops/s.
-    pub fn load_cap(mut self, ops_per_sec: f64) -> Self {
-        self.cfg.worker_load_capacity = ops_per_sec;
-        self
-    }
-
-    /// Enables or disables membership participation.
-    pub fn membership(mut self, on: bool) -> Self {
-        self.cfg.membership = on;
-        self
-    }
-
-    /// Enables or disables synchronous replica updates.
-    pub fn sync_replication(mut self, on: bool) -> Self {
-        self.cfg.sync_replication = on;
-        self
-    }
-
-    /// Sets (or clears) the metrics endpoint port.
-    pub fn metrics_port(mut self, port: Option<u16>) -> Self {
-        self.cfg.metrics_port = port;
-        self
-    }
-
-    /// Sets the connection-serving backend.
-    pub fn io_backend(mut self, backend: IoBackend) -> Self {
-        self.cfg.io.backend = backend;
-        self
-    }
-
-    /// Sets the per-worker open-connection cap.
-    pub fn max_conns_per_worker(mut self, n: usize) -> Self {
-        self.cfg.io.max_conns_per_worker = n.max(1);
-        self
-    }
-
-    /// Sets (or disables, with `None`) idle-connection reaping.
-    pub fn idle_timeout(mut self, t: Option<Duration>) -> Self {
-        self.cfg.io.idle_timeout = t;
-        self
-    }
-
-    /// Sets the cast-pump read timeout.
-    pub fn cast_read_timeout(mut self, t: Duration) -> Self {
-        self.cfg.io.cast_read_timeout = t.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> ServerConfig {
-        self.cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,56 +190,5 @@ mod tests {
     fn unit_budget_splits_capacity() {
         let c = ServerConfig::new(ServerId(0), 4, 64 << 20).cachelets_per_worker(8);
         assert_eq!(c.unit_mem_budget(), (64 << 20) / 32);
-    }
-
-    #[test]
-    fn builder_unifies_every_knob() {
-        let c = ServerConfig::builder(ServerId(7))
-            .workers(4)
-            .cache_bytes(32 << 20)
-            .cachelets_per_worker(8)
-            .engine(EngineKind::Seg)
-            .load_cap(250_000.0)
-            .membership(true)
-            .sync_replication(false)
-            .metrics_port(Some(9100))
-            .io_backend(IoBackend::Threaded)
-            .max_conns_per_worker(128)
-            .idle_timeout(Some(Duration::from_secs(5)))
-            .cast_read_timeout(Duration::from_millis(200))
-            .build();
-        assert_eq!(c.server, ServerId(7));
-        assert_eq!(c.workers, 4);
-        assert_eq!(c.mem.capacity, 32 << 20);
-        assert_eq!(c.cachelets_per_worker, 8);
-        assert_eq!(c.engine, EngineKind::Seg);
-        assert_eq!(c.worker_load_capacity, 250_000.0);
-        assert!(c.membership);
-        assert!(!c.sync_replication);
-        assert_eq!(c.metrics_port, Some(9100));
-        assert_eq!(c.io.backend, IoBackend::Threaded);
-        assert_eq!(c.io.max_conns_per_worker, 128);
-        assert_eq!(c.io.idle_timeout, Some(Duration::from_secs(5)));
-        assert_eq!(c.io.cast_read_timeout, Duration::from_millis(200));
-    }
-
-    #[test]
-    fn builder_matches_new_defaults() {
-        let b = ServerConfig::builder(ServerId(1))
-            .workers(2)
-            .cache_bytes(256 << 20)
-            .build();
-        let n = ServerConfig::new(ServerId(1), 2, 256 << 20);
-        assert_eq!(b.cachelets_per_worker, n.cachelets_per_worker);
-        assert_eq!(b.io, n.io);
-        assert_eq!(b.worker_load_capacity, n.worker_load_capacity);
-    }
-
-    #[test]
-    fn io_backend_parses_flag_spellings() {
-        assert_eq!(IoBackend::parse("event-loop"), Some(IoBackend::EventLoop));
-        assert_eq!(IoBackend::parse("EPOLL"), Some(IoBackend::EventLoop));
-        assert_eq!(IoBackend::parse("threaded"), Some(IoBackend::Threaded));
-        assert_eq!(IoBackend::parse("uring"), None);
     }
 }

@@ -6,7 +6,7 @@
 //! carried 10k stacks. Here each worker owns a single loop thread
 //! parked in `epoll_wait` over its listener, a waker pipe, and all of
 //! its connections; per-connection state shrinks from a thread to a
-//! [`Conn`]: a [`FrameDecoder`] reassembling pipelined request frames
+//! `Conn`: a [`FrameDecoder`] reassembling pipelined request frames
 //! from arbitrary reads, and an outbound queue of reference-counted
 //! [`Bytes`] fragments flushed with vectored writes.
 //!
@@ -134,10 +134,9 @@ enum Verdict {
     Drop,
 }
 
-/// Runs one worker's event loop until the process exits (mirroring the
-/// listener threads of the threaded backend). Fails fast with
-/// [`ErrorKind::Unsupported`] on platforms without epoll so the caller
-/// can fall back to the threaded backend.
+/// Runs one worker's event loop until the process exits. Fails fast
+/// with [`ErrorKind::Unsupported`] on platforms without epoll so the
+/// caller can fall back to a thread per connection.
 pub(crate) fn run(
     listener: &TcpListener,
     worker: Sender<WorkerMsg>,

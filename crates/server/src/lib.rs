@@ -21,10 +21,10 @@
 //! - [`tcp`] — the TCP transport: one listening port per worker (§2.3),
 //!   frames encoded by `mbal-proto`, pooled connections, pipelined
 //!   batch envelopes (one flush per batch) and bounded connect retry.
-//! - [`event_loop`] — the default server-side I/O backend: one
-//!   nonblocking epoll loop per worker multiplexing every connection,
-//!   with zero-copy [`bytes::Bytes`] response fragments flushed via
-//!   vectored writes.
+//! - [`event_loop`] — the server-side I/O path: one nonblocking epoll
+//!   loop per worker multiplexing every connection, with zero-copy
+//!   [`bytes::Bytes`] response fragments flushed via vectored writes.
+//!   Hosts without epoll fall back to a thread per connection.
 //! - [`server`] — [`server::Server`]: spawns workers, runs the balance
 //!   epoch loop, executes Phase 1/2/3 actions, and performs coordinated
 //!   per-bucket migration with the coordinator.
@@ -49,7 +49,7 @@ pub mod transport;
 pub mod unit;
 pub mod worker;
 
-pub use config::{IoBackend, IoConfig, ServerConfig, ServerConfigBuilder};
+pub use config::{IoConfig, ServerConfig};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use metrics_http::serve_metrics_http;
 pub use server::Server;

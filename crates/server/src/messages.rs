@@ -106,6 +106,18 @@ pub enum Control {
         /// Shadow workers holding replicas.
         shadows: Vec<WorkerAddr>,
     },
+    /// Read the current values of hot keys for Phase-1 replica installs.
+    /// Served off the client path, so the balancer's own reads never
+    /// count as client traffic (ops, GETs, read latency, hot-key
+    /// samples). Replies one slot per key, in order: `None` when the key
+    /// is absent, its cachelet is not owned here, or the key has
+    /// migrated away.
+    ReadForReplicas {
+        /// `(cachelet, raw key)` pairs.
+        keys: Vec<(CacheletId, Vec<u8>)>,
+        /// Reply carrying the values.
+        reply: Sender<Vec<Option<Value>>>,
+    },
     /// Forget replication state for `key` (retired or migrated away).
     UnsetReplicated {
         /// The key.

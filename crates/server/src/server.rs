@@ -468,10 +468,11 @@ impl Server {
 
     fn execute_replication(&mut self, wid: WorkerId, acts: &[ReplicationAction], _now: u64) {
         let mapping = self.coordinator.mapping_snapshot();
-        // Phase 1 batching: fetch every hot-key value from the home
-        // worker first, group the installs by shadow, and ship one
-        // pipelined batch per shadow instead of one round-trip per key.
-        let mut by_shadow: HashMap<WorkerAddr, Vec<(Vec<u8>, Request)>> = HashMap::new();
+        // Phase 1 batching: read every hot-key value from the home
+        // worker in one control round-trip, group the installs by
+        // shadow, and ship one pipelined batch per shadow instead of one
+        // round-trip per key.
+        let mut wanted = Vec::new();
         for act in acts {
             match act {
                 ReplicationAction::Install {
@@ -483,28 +484,7 @@ impl Server {
                     key,
                     shadow,
                     lease_expiry_ms,
-                } => {
-                    // Fetch the current value from the home worker.
-                    let cachelet = mapping.cachelet_of_vn(mapping.vn_of(key));
-                    let value = match self.local_call(
-                        wid,
-                        Request::Get {
-                            cachelet,
-                            key: key.clone(),
-                        },
-                    ) {
-                        Some(Response::Value { value, .. }) => value,
-                        _ => continue, // evicted or moved; nothing to copy
-                    };
-                    by_shadow.entry(*shadow).or_default().push((
-                        key.clone(),
-                        Request::ReplicaInstall {
-                            key: key.clone(),
-                            value,
-                            lease_expiry_ms: *lease_expiry_ms,
-                        },
-                    ));
-                }
+                } => wanted.push((key, *shadow, *lease_expiry_ms)),
                 ReplicationAction::Retire { key, shadow } => {
                     self.transport
                         .cast(*shadow, Request::ReplicaInvalidate { key: key.clone() });
@@ -521,6 +501,31 @@ impl Server {
                     }
                 }
             }
+        }
+        if wanted.is_empty() {
+            return;
+        }
+        let keys = wanted
+            .iter()
+            .map(|(key, ..)| (mapping.cachelet_of_vn(mapping.vn_of(key)), key.to_vec()))
+            .collect();
+        let (rtx, rrx) = bounded(1);
+        self.control(wid, Control::ReadForReplicas { keys, reply: rtx });
+        let values = rrx.recv().unwrap_or_default();
+        let mut by_shadow: HashMap<WorkerAddr, Vec<(Vec<u8>, Request)>> = HashMap::new();
+        for ((key, shadow, lease_expiry_ms), value) in wanted.into_iter().zip(values) {
+            // Evicted or moved: nothing to copy.
+            let Some(value) = value else {
+                continue;
+            };
+            by_shadow.entry(shadow).or_default().push((
+                key.clone(),
+                Request::ReplicaInstall {
+                    key: key.clone(),
+                    value,
+                    lease_expiry_ms,
+                },
+            ));
         }
         for (shadow, installs) in by_shadow {
             let (keys, reqs): (Vec<Vec<u8>>, Vec<Request>) = installs.into_iter().unzip();

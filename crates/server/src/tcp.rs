@@ -2,20 +2,18 @@
 //!
 //! "We associate a TCP/UDP port with each cache server worker thread so
 //! that clients can directly interact with workers without any
-//! centralized component." Each worker gets its own listener. By
-//! default ([`IoBackend::EventLoop`]) the listener and all of its
-//! connections are multiplexed on one nonblocking poll loop per worker
-//! (see [`crate::event_loop`]); the legacy [`IoBackend::Threaded`]
-//! backend — one blocking framing thread per accepted connection — is
-//! retained as a config option and as the automatic fallback on
-//! platforms without epoll.
+//! centralized component." Each worker gets its own listener, and the
+//! listener and all of its connections are multiplexed on one
+//! nonblocking poll loop per worker (see [`crate::event_loop`]). On
+//! platforms without epoll each accepted connection gets a blocking
+//! framing thread instead.
 //!
 //! Batches travel as one [`codec::Opcode::Batch`] envelope per
 //! direction-in, and as pipelined individual response frames (written in
 //! a single flush) direction-out, so a connection drop mid-batch still
 //! yields per-operation outcomes via opaque correlation.
 
-use crate::config::{IoBackend, IoConfig};
+use crate::config::IoConfig;
 use crate::event_loop;
 use crate::messages::WorkerMsg;
 use crate::transport::{batch_errs, Transport, TransportError, DEFAULT_DEADLINE};
@@ -35,6 +33,9 @@ use std::time::{Duration, Instant};
 const CONNECT_RETRIES: u32 = 3;
 /// Base backoff between connect attempts; doubles each retry.
 const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+/// Read timeout on cast-pump connections: a shadow silent this long
+/// counts a transport-timeout tick and loses its pump connection.
+const CAST_REPLY_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Per-operation results of a batch exchange.
 type BatchOutcome = Vec<Result<Response, TransportError>>;
@@ -186,38 +187,51 @@ fn serve_connection(mut stream: TcpStream, worker: Sender<WorkerMsg>) {
 
 /// Binds one listener per worker on consecutive ports starting at
 /// `base_port` (0 picks ephemeral ports) and returns the bound
-/// addresses, serving with the default I/O configuration (event loop,
-/// environment-overridable). Serving threads run until the process
-/// exits.
+/// addresses, serving with the default [`IoConfig`]. Serving threads
+/// run until the process exits.
 pub fn serve_tcp(
     workers: &[(WorkerAddr, Sender<WorkerMsg>)],
     host: &str,
     base_port: u16,
 ) -> std::io::Result<Vec<(WorkerAddr, SocketAddr)>> {
-    serve_tcp_with(workers, host, base_port, IoConfig::from_env())
+    serve_tcp_with(workers, host, base_port, IoConfig::default())
 }
 
-/// [`serve_tcp`] with explicit I/O knobs: serving backend, per-worker
-/// connection cap, and idle-connection reaping.
+/// [`serve_tcp`] with explicit I/O knobs: per-worker connection cap and
+/// idle-connection reaping.
 ///
-/// Under [`IoBackend::EventLoop`] each worker gets exactly one loop
-/// thread multiplexing every connection on its port, so the server's
-/// thread count is bounded by the worker count regardless of how many
-/// clients connect. Under [`IoBackend::Threaded`] (or when epoll is
-/// unavailable) each accepted connection gets a blocking framing
-/// thread, as before.
+/// Each worker gets exactly one event-loop thread multiplexing every
+/// connection on its port, so the server's thread count is bounded by
+/// the worker count regardless of how many clients connect. Where epoll
+/// is unavailable each accepted connection gets a blocking framing
+/// thread instead, and the knobs do not apply.
 pub fn serve_tcp_with(
     workers: &[(WorkerAddr, Sender<WorkerMsg>)],
     host: &str,
     base_port: u16,
     io: IoConfig,
 ) -> std::io::Result<Vec<(WorkerAddr, SocketAddr)>> {
-    // Accept storms under the event loop are bounded by the connection
-    // cap, not the thread count; make sure the fd table keeps up.
-    if io.backend == IoBackend::EventLoop {
-        let want = workers.len() as u64 * io.max_conns_per_worker as u64 + 64;
-        mbal_netpoll::raise_nofile_limit(want).ok();
-    }
+    // Accept storms are bounded by the connection cap, not the thread
+    // count; make sure the fd table keeps up.
+    let want = workers.len() as u64 * io.max_conns_per_worker as u64 + 64;
+    mbal_netpoll::raise_nofile_limit(want).ok();
+    listen(workers, host, base_port, move |listener, tx| {
+        serve_polled(listener, tx, io.clone())
+    })
+}
+
+/// Binds one listener per worker on consecutive ports starting at
+/// `base_port` (0 picks ephemeral ports) and runs `serve` on a named
+/// thread per listener.
+fn listen<F>(
+    workers: &[(WorkerAddr, Sender<WorkerMsg>)],
+    host: &str,
+    base_port: u16,
+    serve: F,
+) -> std::io::Result<Vec<(WorkerAddr, SocketAddr)>>
+where
+    F: Fn(TcpListener, Sender<WorkerMsg>) + Clone + Send + 'static,
+{
     let mut bound = Vec::new();
     for (i, (addr, tx)) in workers.iter().enumerate() {
         let port = if base_port == 0 {
@@ -227,39 +241,29 @@ pub fn serve_tcp_with(
         };
         let listener = TcpListener::bind((host, port))?;
         bound.push((*addr, listener.local_addr()?));
-        let tx = tx.clone();
-        let cfg = io.clone();
+        let (tx, serve) = (tx.clone(), serve.clone());
         std::thread::Builder::new()
             .name(format!("mbal-tcp-{addr}"))
-            .spawn(move || {
-                if cfg.backend == IoBackend::EventLoop {
-                    match event_loop::run(&listener, tx.clone(), cfg) {
-                        // The loop only returns on an unrecoverable
-                        // poller error; Unsupported never reaches here
-                        // because construction is the first fallible
-                        // step, so fall through to the threaded backend.
-                        Err(e) if e.kind() == ErrorKind::Unsupported => {}
-                        _ => return,
-                    }
-                    // `event_loop::run` flipped the listener
-                    // nonblocking before failing; undo for the
-                    // blocking accept loop.
-                    // (Unreachable on Linux: Poller::new is the first
-                    // fallible step and epoll is always present.)
-                    #[allow(unused_must_use)]
-                    {
-                        listener.set_nonblocking(false);
-                    }
-                }
-                serve_threaded(listener, tx);
-            })
+            .spawn(move || serve(listener, tx))
             .expect("spawn listener thread");
     }
     Ok(bound)
 }
 
-/// The legacy backend: a blocking framing thread per accepted
-/// connection.
+/// Serves one listener on the worker's event loop, or on a thread per
+/// connection where the platform has no epoll.
+fn serve_polled(listener: TcpListener, tx: Sender<WorkerMsg>, io: IoConfig) {
+    // The loop only returns on a poller error. `Unsupported` comes only
+    // from `Poller::new`, its first step, so the listener is still
+    // blocking for the fallback.
+    if let Err(e) = event_loop::run(&listener, tx.clone(), io) {
+        if e.kind() == ErrorKind::Unsupported {
+            serve_threaded(listener, tx);
+        }
+    }
+}
+
+/// The fallback: a blocking framing thread per accepted connection.
 fn serve_threaded(listener: TcpListener, tx: Sender<WorkerMsg>) {
     for conn in listener.incoming().flatten() {
         let tx = tx.clone();
@@ -391,7 +395,7 @@ fn exchange_batch(
 
 /// Drains fire-and-forget casts over dedicated connections, so a slow or
 /// dead shadow never blocks the worker that enqueued the cast. Each
-/// response is read (with the configured `read_timeout`) and discarded
+/// response is read (within [`CAST_REPLY_TIMEOUT`]) and discarded
 /// to keep the stream framed; a shadow that times out counts a
 /// [`Counter::TransportTimeouts`] tick and loses its pump connection —
 /// never a silent retry — because asynchronous replication is
@@ -400,7 +404,6 @@ fn exchange_batch(
 fn cast_pump(
     addrs: HashMap<WorkerAddr, SocketAddr>,
     rx: Receiver<(WorkerAddr, Request)>,
-    read_timeout: Duration,
     metrics: Arc<MetricsShard>,
 ) {
     let mut conns: HashMap<WorkerAddr, TcpStream> = HashMap::new();
@@ -419,7 +422,7 @@ fn cast_pump(
                 match TcpStream::connect(sock) {
                     Ok(s) => {
                         s.set_nodelay(true).ok();
-                        s.set_read_timeout(Some(read_timeout)).ok();
+                        s.set_read_timeout(Some(CAST_REPLY_TIMEOUT)).ok();
                         e.insert(s);
                     }
                     Err(_) => break,
@@ -459,26 +462,16 @@ pub struct TcpTransport {
 impl TcpTransport {
     /// Creates a transport from a worker→socket address map and spawns
     /// its cast pump thread (which exits when the transport is dropped).
-    /// The pump's read timeout comes from the default [`IoConfig`]
-    /// (overridable via `MBAL_CAST_TIMEOUT_MS`).
-    pub fn new(addrs: HashMap<WorkerAddr, SocketAddr>) -> Arc<Self> {
-        Self::with_cast_timeout(addrs, IoConfig::from_env().cast_read_timeout)
-    }
-
-    /// [`TcpTransport::new`] with an explicit cast-pump read timeout.
     /// Pump timeouts surface as [`Counter::TransportTimeouts`] in this
     /// transport's [`metrics`](TcpTransport::metrics).
-    pub fn with_cast_timeout(
-        addrs: HashMap<WorkerAddr, SocketAddr>,
-        cast_read_timeout: Duration,
-    ) -> Arc<Self> {
+    pub fn new(addrs: HashMap<WorkerAddr, SocketAddr>) -> Arc<Self> {
         let (cast_tx, cast_rx) = crossbeam_channel::unbounded();
         let pump_addrs = addrs.clone();
         let metrics = Arc::new(MetricsShard::new());
         let pump_metrics = metrics.clone();
         std::thread::Builder::new()
             .name("mbal-cast-pump".into())
-            .spawn(move || cast_pump(pump_addrs, cast_rx, cast_read_timeout, pump_metrics))
+            .spawn(move || cast_pump(pump_addrs, cast_rx, pump_metrics))
             .expect("spawn cast pump");
         Arc::new(Self {
             addrs,
@@ -717,11 +710,31 @@ mod tests {
         tx
     }
 
+    type Serve =
+        fn(&[(WorkerAddr, Sender<WorkerMsg>)]) -> std::io::Result<Vec<(WorkerAddr, SocketAddr)>>;
+
+    /// Both serving functions on loopback: the event loop behind
+    /// [`serve_tcp`] and the thread-per-connection fallback that hosts
+    /// without epoll get.
+    fn serving_paths() -> [(&'static str, Serve); 2] {
+        [
+            ("event loop", |w| serve_tcp(w, "127.0.0.1", 0)),
+            ("thread per connection", |w| {
+                listen(w, "127.0.0.1", 0, serve_threaded)
+            }),
+        ]
+    }
+
     #[test]
     fn tcp_roundtrip_set_get_delete() {
+        for (path, serve) in serving_paths() {
+            roundtrip_set_get_delete(path, serve);
+        }
+    }
+
+    fn roundtrip_set_get_delete(path: &str, serve: Serve) {
         let worker = WorkerAddr::new(0, 0);
-        let tx = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, tx)], "127.0.0.1", 0).expect("bind");
+        let bound = serve(&[(worker, spawn_map_worker())]).expect("bind");
         let transport = TcpTransport::new(bound.into_iter().collect());
 
         let set = transport
@@ -735,7 +748,7 @@ mod tests {
                 },
             )
             .expect("set over tcp");
-        assert_eq!(set, Response::Stored);
+        assert_eq!(set, Response::Stored, "{path}");
 
         let get = transport
             .call(
@@ -751,7 +764,8 @@ mod tests {
             Response::Value {
                 value: b"beta".to_vec().into(),
                 replicas: vec![]
-            }
+            },
+            "{path}"
         );
 
         let del = transport
@@ -763,7 +777,7 @@ mod tests {
                 },
             )
             .expect("delete over tcp");
-        assert_eq!(del, Response::Deleted);
+        assert_eq!(del, Response::Deleted, "{path}");
         let miss = transport
             .call(
                 worker,
@@ -773,7 +787,7 @@ mod tests {
                 },
             )
             .expect("miss over tcp");
-        assert_eq!(miss, Response::NotFound);
+        assert_eq!(miss, Response::NotFound, "{path}");
     }
 
     #[test]
@@ -811,9 +825,14 @@ mod tests {
 
     #[test]
     fn batch_roundtrips_over_tcp() {
+        for (path, serve) in serving_paths() {
+            batch_roundtrips(path, serve);
+        }
+    }
+
+    fn batch_roundtrips(path: &str, serve: Serve) {
         let worker = WorkerAddr::new(0, 0);
-        let tx = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, tx)], "127.0.0.1", 0).expect("bind");
+        let bound = serve(&[(worker, spawn_map_worker())]).expect("bind");
         let transport = TcpTransport::new(bound.into_iter().collect());
 
         let mut reqs: Vec<Request> = (0..8)
@@ -831,7 +850,7 @@ mod tests {
         let out = transport.call_many(worker, reqs, DEFAULT_DEADLINE);
         assert_eq!(out.len(), 16);
         for r in &out[..8] {
-            assert_eq!(r, &Ok(Response::Stored));
+            assert_eq!(r, &Ok(Response::Stored), "{path}");
         }
         for (i, r) in out[8..].iter().enumerate() {
             assert_eq!(
@@ -839,18 +858,28 @@ mod tests {
                 &Ok(Response::Value {
                     value: format!("v{i}").into_bytes().into(),
                     replicas: vec![]
-                })
+                }),
+                "{path}"
             );
         }
         // The whole batch reused (and returned) a single pooled stream.
-        assert_eq!(transport.pool.lock().get(&worker).map_or(0, |v| v.len()), 1);
+        assert_eq!(
+            transport.pool.lock().get(&worker).map_or(0, |v| v.len()),
+            1,
+            "{path}"
+        );
     }
 
     #[test]
     fn malformed_frame_errors_and_closes_but_worker_survives() {
+        for (path, serve) in serving_paths() {
+            malformed_frame_errors_and_closes(path, serve);
+        }
+    }
+
+    fn malformed_frame_errors_and_closes(path: &str, serve: Serve) {
         let worker = WorkerAddr::new(0, 0);
-        let tx = spawn_map_worker();
-        let bound = serve_tcp(&[(worker, tx)], "127.0.0.1", 0).expect("bind");
+        let bound = serve(&[(worker, spawn_map_worker())]).expect("bind");
         let sock = bound[0].1;
 
         // Bad magic: the server answers with a protocol error, then
@@ -860,7 +889,7 @@ mod tests {
         let mut buf = Vec::new();
         raw.read_to_end(&mut buf).expect("drain until close");
         let (resp, _, _) = codec::decode_response(&buf).expect("protocol error response");
-        assert!(matches!(resp, Response::Fail { .. }));
+        assert!(matches!(resp, Response::Fail { .. }), "{path}: {resp:?}");
 
         // A 4 GiB body length: rejected without the allocation.
         let mut huge = [0u8; HEADER_LEN];
@@ -871,7 +900,7 @@ mod tests {
         let mut buf = Vec::new();
         raw.read_to_end(&mut buf).expect("drain until close");
         let (resp, _, _) = codec::decode_response(&buf).expect("protocol error response");
-        assert!(matches!(resp, Response::Fail { .. }));
+        assert!(matches!(resp, Response::Fail { .. }), "{path}: {resp:?}");
 
         // The worker behind the listener is unharmed.
         let transport = TcpTransport::new(bound.into_iter().collect());
@@ -883,7 +912,8 @@ mod tests {
                     key: b"missing".to_vec(),
                 }
             ),
-            Ok(Response::NotFound)
+            Ok(Response::NotFound),
+            "{path}"
         );
     }
 

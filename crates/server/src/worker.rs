@@ -274,11 +274,10 @@ impl Worker {
                 expiry_ms,
             } => self.do_touch(cachelet, key, expiry_ms),
             Request::ReplicaRead { key } => {
-                self.ctx.metrics.incr(Counter::ReplicaReads);
                 let now = self.now_ms();
                 match self.replica_table.lookup(&key, now) {
                     ReplicaLookup::Hit(value) => {
-                        self.ctx.metrics.incr(Counter::ReplicaReadHits);
+                        self.ctx.metrics.incr(Counter::ReplicaReads);
                         Response::Value {
                             value,
                             replicas: vec![],
@@ -833,6 +832,29 @@ impl Worker {
             }
             Control::SetReplicated { key, shadows } => {
                 self.replicated.insert(key, shadows);
+            }
+            Control::ReadForReplicas { keys, reply } => {
+                let now = self.now_ms();
+                let tenant_mode = self.tenant_mode();
+                let values = keys
+                    .into_iter()
+                    .map(|(cachelet, key)| {
+                        // Replication covers only the default tenant,
+                        // whose engine keys carry its namespace in
+                        // tenant mode.
+                        let key = if tenant_mode {
+                            namespaced_key(TenantId::DEFAULT, &key)
+                        } else {
+                            key
+                        };
+                        let unit = self.units.get_mut(&cachelet)?;
+                        if unit.key_migrated(&key) {
+                            return None;
+                        }
+                        unit.meta_mut().engine_mut().get(&key, now)
+                    })
+                    .collect();
+                let _ = reply.send(values);
             }
             Control::UnsetReplicated { key } => {
                 self.replicated.remove(&key);

@@ -15,7 +15,7 @@ use mbal_core::types::{Value, WorkerAddr};
 use mbal_proto::{Request, Response, Status};
 use mbal_server::messages::WorkerMsg;
 use mbal_server::tcp::serve_tcp_with;
-use mbal_server::{IoBackend, IoConfig};
+use mbal_server::IoConfig;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -84,10 +84,8 @@ fn one_worker_sustains_1k_idle_connections_with_bounded_threads() {
 
     let worker = spawn_worker();
     let io = IoConfig {
-        backend: IoBackend::EventLoop,
         max_conns_per_worker: CONNS + 64,
         idle_timeout: None,
-        ..IoConfig::default()
     };
     let bound = serve_tcp_with(&[(WorkerAddr::new(0, 0), worker)], "127.0.0.1", 0, io)
         .expect("bind event-loop listener");

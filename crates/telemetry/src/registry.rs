@@ -42,10 +42,10 @@ pub enum Counter {
     Touches,
     /// MultiGET envelope requests.
     MultiGets,
-    /// Replica-table reads (shadow side of Phase 1).
+    /// Replica-table reads served (shadow side of Phase 1). A refused
+    /// read (replica missing or lease-expired) is not counted: the
+    /// client falls back to the home worker, which counts the GET.
     ReplicaReads,
-    /// Replica-table reads that hit.
-    ReplicaReadHits,
     /// Replica installs accepted.
     ReplicaInstalls,
     /// Replica updates applied.
@@ -110,7 +110,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 41;
+    pub const COUNT: usize = 40;
 
     /// Every counter, in index order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -126,7 +126,6 @@ impl Counter {
         Counter::Touches,
         Counter::MultiGets,
         Counter::ReplicaReads,
-        Counter::ReplicaReadHits,
         Counter::ReplicaInstalls,
         Counter::ReplicaUpdates,
         Counter::ReplicaInvalidates,
@@ -172,7 +171,6 @@ impl Counter {
             Counter::Touches => "touches",
             Counter::MultiGets => "multi_gets",
             Counter::ReplicaReads => "replica_reads",
-            Counter::ReplicaReadHits => "replica_read_hits",
             Counter::ReplicaInstalls => "replica_installs",
             Counter::ReplicaUpdates => "replica_updates",
             Counter::ReplicaInvalidates => "replica_invalidates",
